@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"testing"
 	"time"
 )
@@ -76,6 +77,49 @@ func TestSLORateCountsRefusalsAsMisses(t *testing.T) {
 	// rate that meets the limit, not the first failure.
 	if got := sloRate([]rung{{100, 10, 10}, {300, 10, 0}, {1000, 10, 10}}, 0.99); got != 1000 {
 		t.Fatalf("sloRate = %v, want 1000", got)
+	}
+}
+
+func TestLowerMedianAcross(t *testing.T) {
+	runs := [][]float64{
+		{1, 9, 3, 4},
+		{2, 2, 8, 4},
+		{3, 1, 2, 4, 7}, // longer than the others: cut to their length
+	}
+	want := []float64{2, 2, 3, 4}
+	if got := lowerMedianAcross(runs); !slices.Equal(got, want) {
+		t.Fatalf("three runs: got %v, want %v", got, want)
+	}
+	// Of two runs the lower value, step by step: a burst that slowed
+	// step 1 of the first run and step 2 of the second leaves no trace.
+	two := [][]float64{{5, 50, 5}, {5, 5, 70}}
+	if got := lowerMedianAcross(two); !slices.Equal(got, []float64{5, 5, 5}) {
+		t.Fatalf("two runs: got %v", got)
+	}
+	// Of four, the lower of the two middle values.
+	four := [][]float64{{1}, {4}, {2}, {3}}
+	if got := lowerMedianAcross(four); !slices.Equal(got, []float64{2}) {
+		t.Fatalf("four runs: got %v", got)
+	}
+	if got := lowerMedianAcross(nil); got != nil {
+		t.Fatalf("no runs: got %v", got)
+	}
+}
+
+func TestStepsSumToWall(t *testing.T) {
+	start := time.Unix(100, 0)
+	at := func(ms int) time.Time { return start.Add(time.Duration(ms) * time.Millisecond) }
+	s := &served{start: start, calls: []call{
+		{req: 1, sent: at(0), done: at(4)},
+		{req: -1, sent: at(5), done: at(7)}, // traffic update
+		{req: 2, sent: at(8), done: at(20)},
+	}}
+	steps := s.stepsMs()
+	if !slices.Equal(steps, []float64{4, 3, 13}) {
+		t.Fatalf("steps %v, want [4 3 13]", steps)
+	}
+	if sum(steps) != 20 {
+		t.Fatalf("steps sum to %v ms, want the 20 ms from first send to last answer", sum(steps))
 	}
 }
 

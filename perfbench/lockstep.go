@@ -31,6 +31,7 @@ type served struct {
 	attempted int           // request POSTs sent
 	failed    int           // transport errors and unexpected statuses
 	errs      []string
+	start     time.Time     // first send
 	wall      time.Duration // first send to last response
 	heapMB    float64       // live heap after a forced GC, server still up
 	conns     int64         // client connections the server accepted
@@ -74,6 +75,7 @@ func runLockstep(workdir string, e *env, reqs []*core.Request, pool int, prof *r
 
 	next := 0
 	start := time.Now()
+	out.start = start
 	for _, r := range reqs {
 		for next < len(events) && events[next].At <= r.Release {
 			ev := events[next]
@@ -143,6 +145,20 @@ func (s *served) requestMs() []float64 {
 		if c.req >= 0 {
 			out = append(out, c.ms())
 		}
+	}
+	return out
+}
+
+// stepsMs splits the replay's wall time into one step per call: from the
+// previous call's answer (the first send, for the first call) to the
+// call's own answer. The steps sum to the wall time, and the k-th step of
+// every replay of the same stream does the same work.
+func (s *served) stepsMs() []float64 {
+	out := make([]float64, len(s.calls))
+	prev := s.start
+	for i, c := range s.calls {
+		out[i] = float64(c.done.Sub(prev).Nanoseconds()) / 1e6
+		prev = c.done
 	}
 	return out
 }

@@ -59,7 +59,10 @@ var specs = map[string]spec{
 const setupRuns = 3
 
 // minRuns is the fewest untraced server runs a lockstep measurement
-// makes, whatever the budget: a median needs more than one.
+// makes, whatever the budget: combining replays call by call needs more
+// than one. A replay of lockstep-cch-traffic takes about half a minute, so
+// it makes two; a shorter stream would leave its served rate and its
+// latency median at the mercy of which requests the seed drew.
 const minRuns = 2
 
 // maxUnattributed is how much of the client-observed latency along the
@@ -236,30 +239,22 @@ func (b *bench) runLockstep() error {
 		}
 	}
 
-	dps := func(runs []*served) []float64 {
-		var out []float64
-		for _, s := range runs {
-			out = append(out, float64(s.attempted)/s.wall.Seconds())
-		}
-		return out
-	}
-	// Latency percentiles pool every untraced run's requests: a tail
-	// percentile of one run rests on a handful of samples.
-	var lat, trafficP50 []float64
+	var trafficP50 []float64
 	heap := 0.0
 	for _, s := range plain {
-		lat = append(lat, s.requestMs()...)
 		if tm := s.trafficMs(); len(tm) > 0 {
 			v, _ := tailPercentile(tm, 0.5)
 			trafficP50 = append(trafficP50, v)
 		}
 		heap = max(heap, s.heapMB)
 	}
+	dps, lat := combine(plain)
 	p50, _ := tailPercentile(lat, 0.5)
 	p99, q99 := tailPercentile(lat, 0.99)
 	st := plain[0].stats
-	b.logf("runs: %d untraced, %d traced; decisions_per_s %s", len(plain), len(traced), fmtList(dps(plain), "%.1f"))
-	b.logf("decision_ms_p50 %.3f ms; decision_ms_p99 %.3f ms (p%.1f of %d requests, not gated)", p50, p99, 100*q99, len(lat))
+	b.logf("runs: %d untraced, %d traced; decisions_per_s %.2f combined, each replay's own %s",
+		len(plain), len(traced), dps, fmtList(replayRates(plain), "%.2f"))
+	b.logf("decision_ms_p50 %.3f ms; decision_ms_p99 %.3f ms (p%.1f of %d combined requests, not gated)", p50, p99, 100*q99, len(lat))
 	b.logf("served %d/%d, unified_cost %.1f = total_distance %.1f + penalty_sum %.1f, late_arrivals %d, infeasible_stops %d",
 		st.Accepted, st.Requests, st.UnifiedCost, st.TotalDistance, st.PenaltySum, st.LateArrivals, st.InfeasibleStops)
 	if traffic {
@@ -269,7 +264,7 @@ func (b *bench) runLockstep() error {
 	if !b.traced {
 		b.values["setup_s"] = median(setups)
 		b.values["heap_mb"] = heap
-		b.values["decisions_per_s"] = median(dps(plain))
+		b.values["decisions_per_s"] = dps
 		b.values["decision_ms_p50"] = p50
 		b.values["served_rate"] = st.ServedRate
 		b.values["unified_cost"] = st.UnifiedCost
@@ -292,7 +287,8 @@ func (b *bench) runLockstep() error {
 		sl.addServed(b.spans, s)
 		c.add(s.stats)
 	}
-	overhead := 1 - median(dps(traced))/median(dps(plain))
+	tracedDps, _ := combine(traced)
+	overhead := 1 - tracedDps/dps
 	b.layerMetrics(sl, sl, c, len(traced), probe, ref, overhead, nil)
 	return nil
 }
@@ -439,6 +435,33 @@ func (b *bench) runLadder() error {
 	c.add(hi.stats)
 	b.layerMetrics(slLow, slTop, c, 1, probe, ref, overhead, hi.lateMs)
 	return nil
+}
+
+// combine joins replays of one stream call by call. Every replay does the
+// same work call for call (its decisions are checked bit-identical), so
+// for each call its step — from the previous call's answer to its own —
+// and its round trip are taken as the lower median over the replays
+// before anything is summed or ranked: interference that hit some
+// replays part of the way through is left out instead of averaged in. It
+// returns the requests answered per second over the summed steps and the
+// requests' combined round trips in milliseconds.
+func combine(runs []*served) (perSecond float64, requestMs []float64) {
+	var steps, rtts [][]float64
+	for _, s := range runs {
+		steps = append(steps, s.stepsMs())
+		rtts = append(rtts, s.requestMs())
+	}
+	requestMs = lowerMedianAcross(rtts)
+	return frac(float64(len(requestMs)), sum(lowerMedianAcross(steps))/1e3), requestMs
+}
+
+// replayRates is each replay's own requests per second, for the report.
+func replayRates(runs []*served) []float64 {
+	var out []float64
+	for _, s := range runs {
+		out = append(out, float64(s.attempted)/s.wall.Seconds())
+	}
+	return out
 }
 
 // counters sums /v1/stats counters over server runs.

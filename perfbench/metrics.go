@@ -22,7 +22,8 @@ type metricDef struct {
 //     of a server run, server still up.
 //   - decisions_per_s: decisions answered (HTTP 200) per second under the
 //     heaviest load the workload offers: the closed loop's throughput in
-//     the lockstep workloads, the goodput of the top rung in the ladder.
+//     the lockstep workloads (replays combined call by call, see
+//     lowerMedianAcross), the goodput of the top rung in the ladder.
 //   - decision_ms_p50: client-observed request latency — in the ladder at
 //     its lowest rate, timed from each request's due time. The tail
 //     (decision_ms_p99, by the rule of tailPercentile) is printed in the

@@ -54,6 +54,42 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// lowerMedianAcross takes the runs of one deterministic replay, runs[r][k]
+// being run r's figure for its k-th step, and returns step by step the
+// lower median over the runs: the middle value of an odd count, the lower
+// of the two middle values of an even one. A burst of interference on a
+// shared machine only ever adds time to the steps it hits, and it rarely
+// hits the same step in most runs, so this keeps the figure of a step
+// that ran undisturbed; of two runs it keeps the faster. Runs of unequal
+// length are cut to the shortest.
+func lowerMedianAcross(runs [][]float64) []float64 {
+	if len(runs) == 0 {
+		return nil
+	}
+	n := len(runs[0])
+	for _, r := range runs {
+		n = min(n, len(r))
+	}
+	out := make([]float64, n)
+	col := make([]float64, len(runs))
+	for k := range out {
+		for r, xs := range runs {
+			col[r] = xs[k]
+		}
+		sort.Float64s(col)
+		out[k] = col[(len(col)-1)/2]
+	}
+	return out
+}
+
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
