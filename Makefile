@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-json bench-gate check golden fuzz serve-smoke crash-smoke crash-chaos
+.PHONY: all build vet test race bench-smoke bench bench-json bench-gate check golden fuzz serve-smoke crash-smoke crash-chaos perfbench-check
 
 all: check
 
@@ -38,6 +38,19 @@ bench-json:
 GATEBASE ?=
 bench-gate:
 	./scripts/bench-gate.sh -t $(BENCHTIME) $(if $(GATEBASE),-f $(GATEBASE))
+
+# Vet and test the end-to-end benchmark (perfbench/, a Go module of its
+# own that the root `go test ./...` never reaches) against this checkout,
+# with the environment perfbench/run.sh builds it in, so a program change
+# that breaks the benchmark's build fails here instead of in a benchmark
+# run. Artifacts stay under the git-ignored .bench_build/.
+PERFBENCH_OUT = $(CURDIR)/.bench_build/perfbench
+PERFBENCH_ENV = GOCACHE=$(PERFBENCH_OUT)/gocache GOTMPDIR=$(PERFBENCH_OUT)/gotmp \
+	GOPATH=$(PERFBENCH_OUT)/gopath GOMODCACHE=$(PERFBENCH_OUT)/gopath/pkg/mod GOFLAGS= \
+	GOPROXY=off GOSUMDB=off GOTOOLCHAIN=local GOWORK=off
+perfbench-check:
+	mkdir -p $(PERFBENCH_OUT)/gocache $(PERFBENCH_OUT)/gotmp $(PERFBENCH_OUT)/gopath
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
 
 # Regenerate golden files after a deliberate formatter change.
 golden:

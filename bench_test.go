@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -700,166 +699,21 @@ func BenchmarkSaturation(b *testing.B) {
 	}
 }
 
-// --- Batched many-to-many distance oracle (DESIGN.md §16) ---
+// --- Loaded-fleet planning and CCH customization ---
 
-// mtmGen is the probe-validated grid family for the many-to-many scale
-// ladder: dim 40 ≈ 1.6k vertices, dim 100 ≈ 10k, dim 320 ≈ 102k.
-func mtmGen(dim int) roadnet.GenConfig {
-	return roadnet.GenConfig{
-		Rows: dim, Cols: dim, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
-		MotorwayRing: true, RemoveFrac: 0.08, DetourMin: 1.05, DetourMax: 1.3,
-		Seed: 3,
-	}
-}
-
-var (
-	mtmMu     sync.Mutex
-	mtmGraphs = map[int]*roadnet.Graph{}
-	mtmTiers  = map[string]shortest.Oracle{}
-)
-
-// mtmGraph returns the cached benchmark graph for one grid dimension.
-func mtmGraph(b *testing.B, dim int) *roadnet.Graph {
-	b.Helper()
-	mtmMu.Lock()
-	defer mtmMu.Unlock()
-	g, ok := mtmGraphs[dim]
-	if !ok {
-		var err error
-		g, err = roadnet.Generate(mtmGen(dim))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mtmGraphs[dim] = g
-	}
-	return g
-}
-
-// mtmTier returns the cached preprocessed tier for (dim, kind); the
-// 102k-vertex CCH build takes ~2 minutes, paid once per process.
-func mtmTier(b *testing.B, dim int, kind string) shortest.Oracle {
-	b.Helper()
-	g := mtmGraph(b, dim)
-	mtmMu.Lock()
-	defer mtmMu.Unlock()
-	key := fmt.Sprintf("%d/%s", dim, kind)
-	o, ok := mtmTiers[key]
-	if !ok {
-		switch kind {
-		case "hub":
-			o = shortest.BuildHubLabels(g)
-		case "ch":
-			o = shortest.BuildCH(g)
-		case "cch":
-			o = shortest.BuildCCH(g)
-		default:
-			b.Fatalf("unknown tier %q", kind)
-		}
-		mtmTiers[key] = o
-	}
-	return o
-}
-
-// mtmBatch draws a deterministic 32×32 batch of endpoints spread over the
-// graph — the size of a busy admission batch's distance table.
-func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
-	n := g.NumVertices()
-	const k = 32
-	for i := 0; i < k; i++ {
-		sources = append(sources, roadnet.VertexID((i*2654435761+17)%n))
-		targets = append(targets, roadnet.VertexID((i*40503+977)%n))
-	}
-	return sources, targets
-}
-
-// BenchmarkManyToMany compares one batched table fill against the
-// equivalent 32×32 = 1024 point queries on every tier of the scale
-// ladder. The bucket sweep (CH/CCH) and the hub batch merge produce
-// bit-identical cells to the point queries they replace
-// (TestManyToManyMatchesPointDist), so ns/op is the only delta. The
-// 102k-vertex CCH rungs run when URPSM_BENCH_XL=1 (scripts/bench-json.sh
-// sets it; the ~2-minute build keeps it out of quick runs).
-func BenchmarkManyToMany(b *testing.B) {
-	cases := []struct {
-		label string
-		dim   int
-		kind  string
-	}{
-		{"1.6k", 40, "hub"},
-		{"1.6k", 40, "ch"},
-		{"1.6k", 40, "cch"},
-		{"10k", 100, "cch"},
-	}
-	if os.Getenv("URPSM_BENCH_XL") == "1" {
-		cases = append(cases, struct {
-			label string
-			dim   int
-			kind  string
-		}{"102k", 320, "cch"})
-	}
-	for _, c := range cases {
-		g := mtmGraph(b, c.dim)
-		tier := mtmTier(b, c.dim, c.kind)
-		mtm := shortest.ManyToManyFor(tier)
-		if mtm == nil {
-			b.Fatalf("no batched form for %s", c.kind)
-		}
-		sources, targets := mtmBatch(g)
-		b.Run(fmt.Sprintf("%s/%s/point", c.label, c.kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, s := range sources {
-					for _, t := range targets {
-						tier.Dist(s, t)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
-		})
-		b.Run(fmt.Sprintf("%s/%s/table", c.label, c.kind), func(b *testing.B) {
-			arena := shortest.NewTableArena()
-			for i := 0; i < b.N; i++ {
-				mtm.Table(arena, sources, targets)
-			}
-			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
-		})
-	}
-	// The unpreprocessed fallback, small scale only: one full Dijkstra per
-	// source vs 1024 early-stopping point runs.
-	g := mtmGraph(b, 40)
-	sources, targets := mtmBatch(g)
-	point := shortest.NewDijkstra(g)
-	b.Run("1.6k/dijkstra/point", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, s := range sources {
-				for _, t := range targets {
-					point.Dist(s, t)
-				}
-			}
-		}
-	})
-	b.Run("1.6k/dijkstra/table", func(b *testing.B) {
-		mtm := shortest.NewDijkstraMtM(g)
-		arena := shortest.NewTableArena()
-		for i := 0; i < b.N; i++ {
-			mtm.Table(arena, sources, targets)
-		}
-	})
-}
-
-// batchPlanState freezes a mid-simulation snapshot for the
-// point-vs-table batch-planning benchmark: the fleet after the engine
-// has worked the first 60% of the stream, plus the remaining requests
-// chunked into 32-request admission batches. Each benchmark iteration
-// restores the snapshot and replans the whole remainder with committing
-// decisions and a cold LRU cache — a live server's regime, where every
-// batch brings fresh endpoints and routes evolve between batches.
-// (Replaying one frozen batch with Plan against an ever-warm cache
+// batchPlanState freezes a mid-simulation snapshot for the loaded-fleet
+// planning benchmark: the fleet after the engine has worked the first
+// 60% of the stream, plus the remaining requests. Each benchmark
+// iteration restores the snapshot and replans the whole remainder with
+// committing decisions and a cold LRU cache — a live server's regime,
+// where every request brings fresh endpoints and routes evolve between
+// requests. (Replaying one frozen request against an ever-warm cache
 // would let the LRU absorb every point query and measure nothing.)
 type batchPlanState struct {
-	g       *roadnet.Graph
-	hub     *shortest.HubLabels
-	saved   []*core.Worker
-	batches [][]*core.Request
+	g     *roadnet.Graph
+	hub   *shortest.HubLabels
+	saved []*core.Worker
+	tail  []*core.Request
 }
 
 var (
@@ -904,111 +758,38 @@ func batchPlanBench(b *testing.B) *batchPlanState {
 		if _, err := eng.Run(inst.Requests[:cut]); err != nil {
 			panic(err)
 		}
-		var batches [][]*core.Request
-		for lo := cut; lo+32 <= len(inst.Requests); lo += 32 {
-			batches = append(batches, inst.Requests[lo:lo+32])
-		}
 		batchPlanFixed = &batchPlanState{
 			g: g, hub: hub,
-			saved:   cloneFleetWorkers(inst.Workers),
-			batches: batches,
+			saved: cloneFleetWorkers(inst.Workers),
+			tail:  inst.Requests[cut:],
 		}
 	})
 	return batchPlanFixed
 }
 
-// BenchmarkBatchPlanning is the tentpole's headline: the tail of a
-// Chengdu-like stream planned by pruneGreedyDP in 32-request admission
-// batches with point queries vs with one prefetched distance table per
-// batch (serve.Server.flush's wiring, DESIGN.md §16). Decisions are
-// checked identical across the two modes before timing anything.
-// dist-queries/op counts oracle queries that escaped the LRU cache —
-// the table mode's collapse of that number is the admission-batch win
-// the PR exists for.
+// BenchmarkBatchPlanning replans the tail of a Chengdu-like stream with
+// pruneGreedyDP on a loaded 600-worker fleet, every distance a point
+// query through the LRU cache (serve's flush path). dist-queries/op
+// counts oracle queries that escaped the cache. The sub-benchmark keeps
+// the name "point" so earlier BENCH_PR*.json runs still line up.
 func BenchmarkBatchPlanning(b *testing.B) {
 	st := batchPlanBench(b)
-	mtm := shortest.ManyToManyFor(st.hub)
-	if mtm == nil {
-		b.Fatal("hub labels lost their batched form")
-	}
-
-	// run replans the remaining stream once from the snapshot, committing
-	// every decision, and reports the oracle queries (cache misses) and
-	// table hits issued along the way.
-	run := func(batched bool) ([]core.Result, uint64, uint64) {
-		counter := shortest.NewCounting(st.hub)
-		dist := shortest.NewCached(counter, 1<<18).Dist
-		fleet, err := core.NewFleet(st.g, dist, cloneFleetWorkers(st.saved), 2000)
-		if err != nil {
-			panic(err)
-		}
-		planner := core.NewPruneGreedyDP(fleet, 1)
-		var (
-			table *core.DistTable
-			arena *shortest.TableArena
-			cands []*core.Worker
-		)
-		if batched {
-			table = core.NewDistTable(st.g.NumVertices(), dist)
-			arena = shortest.NewTableArena()
-		}
-		results := make([]core.Result, 0, 32*len(st.batches))
-		for _, batch := range st.batches {
-			if batched {
-				table.Reset()
-				cands = cands[:0]
-				for _, r := range batch {
-					table.AddRequest(r)
-					lb := fleet.TravelTimeLB(r.Origin, r.Dest)
-					cands = fleet.CandidatesAppend(cands, r, batch[0].Release, lb)
-				}
-				for _, w := range cands {
-					table.AddWorker(w)
-				}
-				table.Install(mtm.Table(arena, table.Rows(), table.Cols()))
-				fleet.Dist = table.Dist
-			}
-			for _, r := range batch {
-				results = append(results, planner.OnRequest(r.Release, r))
-			}
-			if batched {
-				fleet.Dist = dist
-			}
-		}
-		var hits uint64
-		if batched {
-			hits, _ = table.Stats()
-		}
-		return results, counter.Count(), hits
-	}
-
-	// Decision identity across the swap, verified before timing anything.
-	refRes, _, _ := run(false)
-	tabRes, _, _ := run(true)
-	for i := range refRes {
-		if refRes[i] != tabRes[i] {
-			b.Fatalf("table-backed planning diverged at request %d: point %+v table %+v",
-				i, refRes[i], tabRes[i])
-		}
-	}
-
 	b.Run("point", func(b *testing.B) {
 		var queries uint64
 		for i := 0; i < b.N; i++ {
-			_, q, _ := run(false)
-			queries += q
+			counter := shortest.NewCounting(st.hub)
+			fleet, err := core.NewFleet(st.g, shortest.NewCached(counter, 1<<18).Dist,
+				cloneFleetWorkers(st.saved), 2000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			planner := core.NewPruneGreedyDP(fleet, 1)
+			for _, r := range st.tail {
+				planner.OnRequest(r.Release, r)
+			}
+			queries += counter.Count()
 		}
 		b.ReportMetric(float64(queries)/float64(b.N), "dist-queries/op")
-	})
-	b.Run("table", func(b *testing.B) {
-		var queries, hits uint64
-		for i := 0; i < b.N; i++ {
-			_, q, h := run(true)
-			queries += q
-			hits += h
-		}
-		b.ReportMetric(float64(queries)/float64(b.N), "dist-queries/op")
-		b.ReportMetric(float64(hits)/float64(b.N), "table-hits/op")
 	})
 }
 
@@ -1019,8 +800,7 @@ func BenchmarkBatchPlanning(b *testing.B) {
 // record the partitioning overhead honestly; real cores turn it into a
 // speedup.
 func BenchmarkCCHCustomize(b *testing.B) {
-	g := mtmGraph(b, 100)
-	skel := cchSkelBench(b, g)
+	g, skel := cchSkelBench(b)
 	costs := g.ArcCosts()
 	serialNs := 0.0
 	for _, workers := range []int{1, 2, 4} {
@@ -1041,11 +821,24 @@ func BenchmarkCCHCustomize(b *testing.B) {
 
 var (
 	cchSkelOnce  sync.Once
+	cchSkelGraph *roadnet.Graph
 	cchSkelFixed *shortest.CCHSkeleton
 )
 
-func cchSkelBench(b *testing.B, g *roadnet.Graph) *shortest.CCHSkeleton {
+// cchSkelBench returns the ~10k-vertex grid and its CCH skeleton, built
+// once per process.
+func cchSkelBench(b *testing.B) (*roadnet.Graph, *shortest.CCHSkeleton) {
 	b.Helper()
-	cchSkelOnce.Do(func() { cchSkelFixed = shortest.BuildCCHSkeleton(g) })
-	return cchSkelFixed
+	cchSkelOnce.Do(func() {
+		g, err := roadnet.Generate(roadnet.GenConfig{
+			Rows: 100, Cols: 100, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
+			MotorwayRing: true, RemoveFrac: 0.08, DetourMin: 1.05, DetourMax: 1.3,
+			Seed: 3,
+		})
+		if err != nil {
+			panic(err)
+		}
+		cchSkelGraph, cchSkelFixed = g, shortest.BuildCCHSkeleton(g)
+	})
+	return cchSkelGraph, cchSkelFixed
 }

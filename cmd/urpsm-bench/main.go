@@ -12,8 +12,7 @@
 // queries), fig7 (vary penalty p_r), hardness (§3.3 constructions),
 // insertion (§4 operator scaling ablation), ablation (planner and oracle
 // design-choice ablations), parallel (dispatcher throughput sweep over
-// pool sizes), batchdist (point vs batched-table distance queries across
-// admission-batch sizes), all.
+// pool sizes), all.
 //
 // -parallel N plans pruneGreedyDP/GreedyDP with the N-goroutine parallel
 // dispatcher in any experiment (decisions stay bit-identical to serial);
@@ -36,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|parallel|batchdist|all")
+		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|parallel|all")
 		dataset  = flag.String("dataset", "both", "dataset: chengdu|nyc|both")
 		scale    = flag.Float64("scale", 0.03, "workload scale factor in (0,1]")
 		repeat   = flag.Int("repeat", 1, "repetitions per configuration (paper: 30)")
@@ -144,15 +143,6 @@ func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir 
 				return err
 			}
 			fmt.Print(expt.FormatParallelSweep(preset.Name, pts))
-			fmt.Println()
-		}
-
-		if wantFig("batchdist") {
-			pts, err := runner.BatchDistSweep([]int{1, 4, 8, 16, 32})
-			if err != nil {
-				return err
-			}
-			fmt.Print(expt.FormatBatchDistSweep(preset.Name, pts))
 			fmt.Println()
 		}
 

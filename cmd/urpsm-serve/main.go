@@ -89,14 +89,13 @@ func main() {
 		walCkpt     = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
 		asyncRb     = flag.Bool("async-rebuild", false, "rebuild the oracle in the background after POST /v1/traffic (live-tier queries meanwhile; mid-rebuild decisions lose bit-comparability; with -oracle cch the window is a millisecond customization, see DESIGN.md §11.4/§12)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		noPrefetch  = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16)")
 		traceEv     = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
 		logLevel    = cliutil.LogLevelFlag("info")
 	)
 	flag.Parse()
 	if err := run(*netFile, *loadFile, *oracle, *addr, *batchWindow, *batchSize,
 		*parallel, *gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
-		*asyncRb, *noPrefetch, *traceEv, *logLevel,
+		*asyncRb, *traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-serve:", err)
 		os.Exit(1)
@@ -113,7 +112,7 @@ type overload struct {
 
 func run(netFile, loadFile, oracleKind, addr string, batchWindow time.Duration,
 	batchSize, parallel int, gridKm, alpha float64, snapshotFile, walDir string,
-	walCkptBytes int64, pprofAddr string, asyncRebuild, noPrefetch bool,
+	walCkptBytes int64, pprofAddr string, asyncRebuild bool,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
 		return fmt.Errorf("-net and -load are required")
@@ -152,24 +151,23 @@ func run(netFile, loadFile, oracleKind, addr string, batchWindow time.Duration,
 		return err
 	}
 	cfg := serve.Config{
-		Graph:           g,
-		Workers:         inst.Workers,
-		Oracle:          oracle,
-		OracleKind:      resolved,
-		Alpha:           alpha,
-		CellMeters:      gridKm * 1000,
-		BatchWindow:     batchWindow,
-		BatchSize:       batchSize,
-		MaxQueue:        ovl.maxQueue,
-		DegradeTarget:   ovl.target,
-		DegradeWindow:   ovl.window,
-		Pool:            parallel,
-		AsyncRebuild:    asyncRebuild,
-		NoBatchPrefetch: noPrefetch,
-		WALDir:          walDir,
-		TraceEvents:     traceEvents,
-		Logger:          logger,
-		Version:         version,
+		Graph:         g,
+		Workers:       inst.Workers,
+		Oracle:        oracle,
+		OracleKind:    resolved,
+		Alpha:         alpha,
+		CellMeters:    gridKm * 1000,
+		BatchWindow:   batchWindow,
+		BatchSize:     batchSize,
+		MaxQueue:      ovl.maxQueue,
+		DegradeTarget: ovl.target,
+		DegradeWindow: ovl.window,
+		Pool:          parallel,
+		AsyncRebuild:  asyncRebuild,
+		WALDir:        walDir,
+		TraceEvents:   traceEvents,
+		Logger:        logger,
+		Version:       version,
 	}
 	if walDir != "" {
 		cfg.CheckpointBytes = walCkptBytes

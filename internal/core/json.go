@@ -126,10 +126,15 @@ func (s RouteState) Route(numVertices int) (Route, error) {
 		if !finite(st.DDL) || !finite(s.Arr[i]) {
 			return Route{}, fmt.Errorf("core: stop %d has non-finite time", i)
 		}
-		if s.Arr[i] < prevArr {
+		// Planners maintain Arr incrementally (later stops are shifted by
+		// an insertion's detour, not recomputed), so an arrival can land a
+		// few ULP before the previous one; accept a step within
+		// Route.Validate's tolerance so every state the server writes can
+		// be restored.
+		if s.Arr[i] < prevArr-feasEps*(1+math.Abs(prevArr)) {
 			return Route{}, fmt.Errorf("core: stop %d arrival %v before previous %v", i, s.Arr[i], prevArr)
 		}
-		prevArr = s.Arr[i]
+		prevArr = max(prevArr, s.Arr[i])
 		rt.Stops[i] = Stop{
 			Vertex: roadnet.VertexID(st.Vertex),
 			Kind:   kind,

@@ -103,6 +103,39 @@ func TestRouteStateRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRouteStateArrivalTolerance pins the backward-step tolerance
+// feasEps*(1+|t|): a few-ULP step back (the values of a route a
+// lockstep-hub server wrote at seed 12) decodes unchanged, a step past
+// the tolerance does not (1e-3 s exceeds it at t = 100, where it is
+// about 1e-4 s; at t ≈ 1e4 it is about 1e-2 s).
+func TestRouteStateArrivalTolerance(t *testing.T) {
+	cases := []struct {
+		name       string
+		prev, next float64
+		ok         bool
+	}{
+		{"equal", 9929.119830771253, 9929.119830771253, true},
+		{"forward", 9929.119830771253, 9930, true},
+		{"two ulp back", 9929.119830771253, 9929.119830771251, true},
+		{"1e-3 back", 100, 100 - 1e-3, false},
+		{"0.1 back", 9929.119830771253, 9929.019830771253, false},
+	}
+	for _, tc := range cases {
+		s := RouteState{Loc: 0, Now: 50, Stops: []StopState{
+			{Vertex: 1, Kind: "pickup", Req: 1, Cap: 1, DDL: 20000},
+			{Vertex: 1, Kind: "dropoff", Req: 1, Cap: 1, DDL: 20000},
+		}, Arr: []float64{tc.prev, tc.next}}
+		rt, err := s.Route(4)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err == nil && (rt.Arr[0] != tc.prev || rt.Arr[1] != tc.next) {
+			t.Errorf("%s: arrivals changed to %v", tc.name, rt.Arr)
+		}
+	}
+}
+
 func TestWorkerStateRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name   string

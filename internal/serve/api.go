@@ -101,11 +101,11 @@ type Stats struct {
 	DegradeState       int    `json:"degrade_state"`
 	DegradeTransitions int    `json:"degrade_transitions"`
 	DistQueries        uint64 `json:"dist_queries"`
-	// TablePrefetches counts admission batches planned against a batched
-	// many-to-many distance table (DESIGN.md §16); TableHits and
-	// TableMisses count planner distance lookups the table answered vs.
-	// sent through to the point chain (misses are also in DistQueries).
-	// Process-lifetime counters, like the latency histograms.
+	// TablePrefetches, TableHits and TableMisses are retired and always
+	// 0: they counted the per-batch distance-table prefetch, which was
+	// deleted because its fill cost far more than the reads it answered
+	// (DESIGN.md §16). The fields and their urpsm_table_* families stay so
+	// existing scrapers and the end-to-end benchmark keep parsing.
 	TablePrefetches int    `json:"table_prefetches"`
 	TableHits       uint64 `json:"table_hits"`
 	TableMisses     uint64 `json:"table_misses"`
@@ -431,13 +431,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p("# HELP urpsm_dist_queries_total Shortest-distance oracle queries.\n")
 	p("# TYPE urpsm_dist_queries_total counter\n")
 	p("urpsm_dist_queries_total %d\n", st.DistQueries)
-	p("# HELP urpsm_table_prefetches_total Admission batches planned against a batched distance table.\n")
+	p("# HELP urpsm_table_prefetches_total Retired, always 0 (the batch distance-table prefetch was deleted).\n")
 	p("# TYPE urpsm_table_prefetches_total counter\n")
 	p("urpsm_table_prefetches_total %d\n", st.TablePrefetches)
-	p("# HELP urpsm_table_hits_total Planner distance lookups answered from the batch table.\n")
+	p("# HELP urpsm_table_hits_total Retired, always 0 (the batch distance-table prefetch was deleted).\n")
 	p("# TYPE urpsm_table_hits_total counter\n")
 	p("urpsm_table_hits_total %d\n", st.TableHits)
-	p("# HELP urpsm_table_misses_total Planner distance lookups that fell back to the point chain.\n")
+	p("# HELP urpsm_table_misses_total Retired, always 0 (the batch distance-table prefetch was deleted).\n")
 	p("# TYPE urpsm_table_misses_total counter\n")
 	p("urpsm_table_misses_total %d\n", st.TableMisses)
 	p("# HELP urpsm_workers Fleet size.\n")

@@ -136,17 +136,6 @@ type Config struct {
 	// lands and keeps replay equivalence bit-exact unconditionally. See
 	// DESIGN.md §11.4 and §12.
 	AsyncRebuild bool
-	// NoBatchPrefetch disables the batched distance-table prefetch: by
-	// default flush builds one dense many-to-many table per admission
-	// batch (request endpoints × candidate route vertices, filled by a
-	// single shortest.ManyToMany sweep over the current tier) and plans
-	// the whole batch against it, collapsing per-batch dist_queries from
-	// O(workers × requests × stops) point queries to table lookups. Every
-	// table cell is bit-identical to the point query it replaces and
-	// uncovered pairs fall back to the unchanged point chain, so decisions
-	// are identical either way (DESIGN.md §16) — the knob exists for A/B
-	// measurement and as an escape hatch, not for correctness.
-	NoBatchPrefetch bool
 	// TraceEvents enables the flight recorder (internal/trace): the ring
 	// retains that many most-recent lifecycle events, the planner gets a
 	// PlanObserver, and GET /debug/trace plus
@@ -217,17 +206,6 @@ type Server struct {
 	// fleet and the world. Both are mutated only under smu.
 	versioned *shortest.Versioned
 	traffic   *sim.Traffic
-
-	// Batch-prefetch state (nil table = prefetch disabled). distChain is
-	// the point-query chain fleet.Dist normally runs through; flush swaps
-	// table.Dist in front of it for the duration of one batch and restores
-	// it before releasing smu, so nothing outside a flush can observe the
-	// table. All under smu.
-	table           *core.DistTable
-	tarena          *shortest.TableArena
-	distChain       core.DistFunc
-	prefCands       []*core.Worker
-	tablePrefetches int
 
 	// qmu guards the admission queue (and the ID counter, so the POST
 	// path never waits on planning); smu guards platform state and
@@ -447,11 +425,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.effBatch.Store(int64(cfg.BatchSize))
 	s.effQueue.Store(int64(cfg.MaxQueue))
-	if !cfg.NoBatchPrefetch {
-		s.table = core.NewDistTable(cfg.Graph.NumVertices(), dist)
-		s.tarena = shortest.NewTableArena()
-		s.distChain = dist
-	}
 	if cfg.TraceEvents > 0 {
 		// Attach the recorder before WAL replay so crash recovery shows up
 		// in the timeline like any other traffic. Both planners implement
@@ -773,7 +746,6 @@ func (s *Server) flush() {
 		}
 		shedDs = append(shedDs, d)
 	}
-	tableActive := s.prefetchLocked(batch)
 	ladderArmed := s.cfg.DegradeTarget > 0
 	planDurs := s.planScratch[:0]
 	ds := s.flushScratch[:0]
@@ -809,9 +781,6 @@ func (s *Server) flush() {
 			s.lastGroup = append(s.lastGroup, d.ID)
 		}
 		ds = append(ds, d)
-	}
-	if tableActive {
-		s.fleet.Dist = s.distChain
 	}
 	// Group commit: one fsync makes the whole commit group durable, and no
 	// decision is acknowledged before it. A sync failure is fail-stop —
@@ -866,60 +835,6 @@ func (s *Server) flush() {
 		}
 		s.log.Info("auto-checkpoint", "lsn", lsn, "checkpoints", s.walCheckpoints)
 	}
-}
-
-// maxPrefetchCells bounds the per-batch distance table (32 MiB of
-// float64 cells): a pathological batch past the cap simply plans with
-// point queries, it never OOMs the server.
-const maxPrefetchCells = 1 << 22
-
-// prefetchLocked builds the batch's distance table and swaps it in front
-// of the point chain; it returns whether the swap happened (the caller
-// restores fleet.Dist after the decide loop). Caller holds smu.
-//
-// Endpoint registration is a superset argument, not an exact one: the
-// columns are every request's origin and destination, the rows every
-// route vertex of every candidate worker. Candidates are gathered with
-// the pre-batch event clock and L set to the free Euclidean travel-time
-// lower bound — the radius shrinks as the clock advances and as L
-// grows, so with now ≤ plan-time clock and L ≤ plan-time
-// Dist(origin, dest) a plan-time candidate set is a subset of the
-// prefetched one up to workers that move between decides.
-// Pairs the table missed (a mid-leg location after AdvanceAll, a worker
-// that drifted into radius, a dest-to-dest query) fall back to the
-// untouched point chain, so coverage gaps cost a point query, never a
-// different decision. Prefetch is skipped entirely while an async
-// rebuild is pending (CurrentTier declines): the live fallback tier has
-// no bit-identical batched form.
-func (s *Server) prefetchLocked(batch []*pending) bool {
-	if s.table == nil || len(batch) == 0 {
-		return false
-	}
-	tier, _, ok := s.versioned.CurrentTier()
-	if !ok {
-		return false
-	}
-	mtm := shortest.ManyToManyFor(tier)
-	if mtm == nil {
-		return false
-	}
-	s.table.Reset()
-	s.prefCands = s.prefCands[:0]
-	for _, p := range batch {
-		s.table.AddRequest(p.req)
-		lb := s.fleet.TravelTimeLB(p.req.Origin, p.req.Dest)
-		s.prefCands = s.fleet.CandidatesAppend(s.prefCands, p.req, s.simTime, lb)
-	}
-	for _, w := range s.prefCands {
-		s.table.AddWorker(w)
-	}
-	if n := s.table.CellCount(); n == 0 || n > maxPrefetchCells {
-		return false
-	}
-	s.table.Install(mtm.Table(s.tarena, s.table.Rows(), s.table.Cols()))
-	s.fleet.Dist = s.table.Dist
-	s.tablePrefetches++
-	return true
 }
 
 // decideLocked advances the world to the request's effective time and
@@ -1207,10 +1122,6 @@ func (s *Server) Stats() Stats {
 	st.LastRebuildMs = float64(s.versioned.LastRebuild().Nanoseconds()) / 1e6
 	if s.queries != nil {
 		st.DistQueries = s.queries.Count()
-	}
-	st.TablePrefetches = s.tablePrefetches
-	if s.table != nil {
-		st.TableHits, st.TableMisses = s.table.Stats()
 	}
 	st.LatencyMs.P50 = s.latency.percentile(0.50)
 	st.LatencyMs.P95 = s.latency.percentile(0.95)

@@ -224,6 +224,45 @@ func TestWALCheckpointWindow(t *testing.T) {
 	}
 }
 
+// TestWALRestoresULPBackwardArrival checks that a server can restart
+// from a checkpoint of any state it holds: incremental arrival
+// maintenance can leave a stop a few ULP before the previous one
+// (observed at 9929.119830771253 → 9929.119830771251), and recovery
+// must restore that route bit for bit instead of refusing it.
+func TestWALRestoresULPBackwardArrival(t *testing.T) {
+	g, inst := testInstance(t)
+	oracle := shortest.BuildHubLabels(g)
+	inst.Workers = cloneWorkers(inst.Workers)
+	w := inst.Workers[0]
+	w.Capacity = max(w.Capacity, 2)
+	rt := &w.Route
+	v := roadnet.VertexID((int(rt.Loc) + 1) % g.NumVertices())
+	first := rt.Now + oracle.Dist(rt.Loc, v)
+	second := math.Nextafter(math.Nextafter(first, 0), 0)
+	rt.Onboard = 2
+	rt.Stops = []core.Stop{
+		{Vertex: v, Kind: core.Dropoff, Req: 1 << 20, Cap: 1, DDL: first + 1e5},
+		{Vertex: v, Kind: core.Dropoff, Req: 1<<20 + 1, Cap: 1, DDL: first + 1e5},
+	}
+	rt.Arr = []float64{first, second}
+
+	dir := t.TempDir()
+	s := newWALServer(t, g, inst, oracle, dir, nil)
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	s = newWALServer(t, g, inst, oracle, dir, nil)
+	got, ok := s.WorkerRoute(w.ID)
+	if !ok {
+		t.Fatal("restored server lost worker 0")
+	}
+	if len(got.Route.Arr) != 2 || math.Float64bits(got.Route.Arr[0]) != math.Float64bits(first) ||
+		math.Float64bits(got.Route.Arr[1]) != math.Float64bits(second) {
+		t.Fatalf("restored arrivals %v, want [%v %v]", got.Route.Arr, first, second)
+	}
+}
+
 // expectedTail walks a (possibly truncated) segment the way recovery
 // does and reports what must survive: decision IDs of complete commit
 // groups, applied traffic records, and the recovered-record count.

@@ -15,8 +15,11 @@ type lruEntry struct {
 // is that cache. Keys are symmetric ((u,v) ≡ (v,u)) because the road
 // network is undirected.
 //
-// Entries live in a flat slice and the list uses int32 indices, keeping the
-// cache allocation-free after construction. Not safe for concurrent use.
+// Entries live in a flat slice and the list uses int32 indices. The slice
+// and the index map grow on demand up to capacity, so memory follows the
+// entries held rather than the bound; once full, or after a Flush (which
+// keeps the storage), the cache allocates nothing. Not safe for
+// concurrent use.
 type LRU struct {
 	capacity int
 	entries  []lruEntry
@@ -32,13 +35,7 @@ func NewLRU(capacity int) *LRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &LRU{
-		capacity: capacity,
-		entries:  make([]lruEntry, 0, capacity),
-		index:    make(map[uint64]int32, capacity),
-		head:     -1,
-		tail:     -1,
-	}
+	return &LRU{capacity: capacity, index: map[uint64]int32{}, head: -1, tail: -1}
 }
 
 func pairKey(u, v roadnet.VertexID) uint64 {
@@ -84,6 +81,13 @@ func (c *LRU) Put(u, v roadnet.VertexID, d float64) {
 	}
 	var i int32
 	if len(c.entries) < c.capacity {
+		if len(c.entries) == cap(c.entries) {
+			// Double, but never past capacity: a full cache holds exactly
+			// capacity slots.
+			grown := make([]lruEntry, len(c.entries), min(max(2*len(c.entries), 16), c.capacity))
+			copy(grown, c.entries)
+			c.entries = grown
+		}
 		c.entries = append(c.entries, lruEntry{key: key, val: d, prev: -1, next: -1})
 		i = int32(len(c.entries) - 1)
 	} else {

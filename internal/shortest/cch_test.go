@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -349,5 +350,61 @@ func BenchmarkCCHSkeletonBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildCCHSkeleton(g)
+	}
+}
+
+// TestCustomizeParallelBitExact pins the parallel triangle sweep to the
+// serial one: identical shortcut-weight arrays for every worker count,
+// on base and perturbed (traffic-epoch) metrics.
+func TestCustomizeParallelBitExact(t *testing.T) {
+	g := testGraph(t, 14, 14, 7)
+	sk := BuildCCHSkeleton(g)
+	base := g.ArcCosts()
+	rng := rand.New(rand.NewSource(11))
+	costs := make([]float64, len(base))
+	for epoch := 0; epoch < 3; epoch++ {
+		copy(costs, base)
+		if epoch > 0 {
+			for i := range costs {
+				if rng.Intn(3) == 0 {
+					costs[i] *= 1 + 2*rng.Float64()
+				}
+			}
+		}
+		ref := sk.CustomizeParallel(costs, 1)
+		for _, workers := range []int{2, 3, 8, 32, 64} {
+			got := sk.CustomizeParallel(costs, workers)
+			if !slices.Equal(ref.upW, got.upW) {
+				t.Fatalf("epoch %d: CustomizeParallel(workers=%d) diverges from serial sweep",
+					epoch, workers)
+			}
+		}
+	}
+}
+
+// TestCustomizeParallelLargeSkeleton forces the parallel path (the small
+// fixtures above stay under cchParallelMinTriples) and re-checks
+// bit-exactness where the fan-out actually runs.
+func TestCustomizeParallelLargeSkeleton(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 40x40 skeleton")
+	}
+	g, err := roadnet.Generate(roadnet.GenConfig{
+		Rows: 40, Cols: 40, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
+		MotorwayRing: true, RemoveFrac: 0.08, DetourMin: 1.05, DetourMax: 1.3, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := BuildCCHSkeleton(g)
+	if len(sk.tri) < cchParallelMinTriples {
+		t.Skipf("skeleton too small to trigger the parallel path: %d elements", len(sk.tri))
+	}
+	ref := sk.CustomizeParallel(g.ArcCosts(), 1)
+	for _, workers := range []int{2, 4, 32} {
+		got := sk.CustomizeParallel(g.ArcCosts(), workers)
+		if !slices.Equal(ref.upW, got.upW) {
+			t.Fatalf("workers=%d diverges from serial on the large skeleton", workers)
+		}
 	}
 }

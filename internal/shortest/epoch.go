@@ -140,27 +140,6 @@ func (v *Versioned) Graph() *roadnet.Graph {
 	return v.g
 }
 
-// CurrentTier returns the preprocessed tier currently answering queries,
-// unwrapped from its concurrency shim, or ok=false while a rebuild is in
-// flight (the live fallback tier is stateful and has no bit-identical
-// batched form, so batch fillers skip those windows). The returned tier
-// object is immutable once built — callers may hand it to ManyToManyFor
-// and fill tables from it concurrently with Dist traffic — but it answers
-// for the epoch current at call time; callers that must pin an epoch
-// (serve's flush does) hold their own serialization against Advance.
-func (v *Versioned) CurrentTier() (Oracle, AutoKind, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if !v.builtOK {
-		return nil, AutoBiDijkstra, false
-	}
-	o := v.built
-	if l, ok := o.(*Locked); ok {
-		o = l.inner
-	}
-	return o, v.builtKind, true
-}
-
 // Dist implements Oracle on the current epoch's weights. The lock is held
 // across the inner query so a concurrent Advance can never hand the call
 // a tier from a superseded epoch; it allocates nothing.

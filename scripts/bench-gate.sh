@@ -22,13 +22,11 @@
 # lives in the goodput-rps/shed-rate metrics, not in wall time per op.
 # BenchmarkBatchPlanning is excluded for the same reason: one op is a
 # deliberate full-stream replay whose signal is dist-queries/op, which
-# the gate does not compare. The gate also leaves URPSM_BENCH_XL unset,
-# so the 102k many-to-many rungs recorded by bench-json are simply not
-# shared with the gate run and the gate stays quick.
+# the gate does not compare.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkManyToMany|BenchmarkCCHCustomize'
+BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkCCHCustomize'
 BENCHTIME=100x
 BASELINE=""
 THRESHOLD=1.25

@@ -17,24 +17,18 @@
 # flight-recorder observability tax (plan path with observer on vs off —
 # must stay within noise at 0 allocs/op), the open-loop saturation
 # sweep (goodput/shed-rate/p99 at offered loads straddling the service's
-# throughput knee, under a bounded admission queue — DESIGN.md §15),
-# the batched many-to-many distance oracle across the scale ladder
-# (one table fill vs 1024 point queries per tier, DESIGN.md §16) and
+# throughput knee, under a bounded admission queue — DESIGN.md §15) and
 # the level-parallel CCH customization sweep.
 # -benchmem is always on so allocs/op regressions are recorded in the
 # artifact.
 #
 # BenchmarkBatchPlanning replays the tail of a Chengdu-like stream per
-# iteration (~seconds/op by design), so it runs in a separate heavy pass
+# iteration (a whole replay per op by design), so it runs in a separate heavy pass
 # at HEAVYTIME iterations rather than the headline BENCHTIME.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The 102k-vertex many-to-many rungs (a ~2-minute CCH build, paid once
-# per go-test process) only run when this is exported.
-export URPSM_BENCH_XL=1
-
-BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkManyToMany|BenchmarkCCHCustomize'
+BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkCCHCustomize'
 HEAVY='BenchmarkBatchPlanning'
 HEAVYTIME=3x
 BENCHTIME=100x
